@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 from .instantiate import PlacedLabel
 from .stream import GeometryStream
 
-#: A recorded scanline stop: (top y, boxes fetched, labels visible after
-#: next_top, labels visible after fetch).
+#: A recorded scanline stop: (top y, the ``(layer, xmin, ymin, xmax,
+#: ymax)`` records fetched, labels visible after next_top, labels visible
+#: after fetch).
 Stop = tuple[int, list, int, int]
 
 

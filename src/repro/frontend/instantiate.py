@@ -114,20 +114,30 @@ def instantiate_with_origins(
     return out
 
 
-def symbol_bboxes(layout: Layout, resolution: int = 50) -> dict[int, Box | None]:
+def symbol_bboxes(
+    layout: Layout,
+    resolution: int = 50,
+    fractured: "dict[int, list[tuple[str, Box]]] | None" = None,
+) -> dict[int, Box | None]:
     """Bounding box of each symbol's full expansion, in local coordinates.
 
     ``None`` marks empty symbols.  Computed bottom-up over the (acyclic)
     call graph; this is the piece of global knowledge the lazy front-end
     needs in order to defer expanding calls that lie below the scanline.
+    Every symbol is fractured on the way; pass a ``fractured`` dict to
+    receive each symbol's fractured boxes, keyed by symbol number, so the
+    caller need not fracture again.
     """
     result: dict[int, Box | None] = {}
+    if fractured is None:
+        fractured = {}
 
     def bbox_of(number: int) -> Box | None:
         if number in result:
             return result[number]
         symbol = layout.symbol(number)
-        corners: list[Box] = [box for _, box in symbol.fractured_boxes(resolution)]
+        boxes = fractured[number] = symbol.fractured_boxes(resolution)
+        corners: list[Box] = [box for _, box in boxes]
         for call in symbol.calls:
             inner = bbox_of(call.symbol)
             if inner is not None:

@@ -126,7 +126,14 @@ class Transform:
 
     @property
     def is_identity(self) -> bool:
-        return self == Transform()
+        return (
+            self.a == 1
+            and self.d == 1
+            and self.b == 0
+            and self.c == 0
+            and self.dx == 0
+            and self.dy == 0
+        )
 
     # -- application ------------------------------------------------------
 

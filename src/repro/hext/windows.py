@@ -51,9 +51,10 @@ class WindowPlanner:
     def __init__(self, layout: Layout, resolution: int = 50) -> None:
         self.layout = layout
         self.resolution = resolution
-        self.bboxes = symbol_bboxes(layout, resolution)
+        #: each symbol's fractured boxes, filled by the bbox pass
         self._fractured: dict[int, list[tuple[str, Box]]] = {}
-        self._fingerprints = _symbol_fingerprints(layout, resolution)
+        self.bboxes = symbol_bboxes(layout, resolution, self._fractured)
+        self._fingerprints = _symbol_fingerprints(layout, self._fractured)
 
     def key(self, content: Content):
         """Content key with structural (cross-layout-stable) symbol ids.
@@ -67,13 +68,6 @@ class WindowPlanner:
 
     # -- expansion -------------------------------------------------------
 
-    def _local_boxes(self, number: int) -> list[tuple[str, Box]]:
-        cached = self._fractured.get(number)
-        if cached is None:
-            cached = self.layout.symbol(number).fractured_boxes(self.resolution)
-            self._fractured[number] = cached
-        return cached
-
     def expand_one(
         self, number: int, transform: Transform
     ) -> tuple[
@@ -85,7 +79,7 @@ class WindowPlanner:
         symbol = self.layout.symbol(number)
         geometry = [
             (layer, transform.apply_box(box))
-            for layer, box in self._local_boxes(number)
+            for layer, box in self._fractured[number]
         ]
         instances = [
             (call.symbol, call.transform.then(transform))
@@ -312,7 +306,9 @@ def content_key(
     )
 
 
-def _symbol_fingerprints(layout: Layout, resolution: int) -> dict[int, str]:
+def _symbol_fingerprints(
+    layout: Layout, fractured: "dict[int, list[tuple[str, Box]]]"
+) -> dict[int, str]:
     """Structural fingerprint per symbol: a digest of its expansion.
 
     Computed bottom-up over the (acyclic) call graph; two symbols -- in
@@ -328,7 +324,7 @@ def _symbol_fingerprints(layout: Layout, resolution: int) -> dict[int, str]:
         symbol = layout.symbol(number)
         hasher = hashlib.sha256()
         for layer, box in sorted(
-            symbol.fractured_boxes(resolution),
+            fractured[number],
             key=lambda item: (item[0], item[1].xmin, item[1].ymin,
                               item[1].xmax, item[1].ymax),
         ):

@@ -53,6 +53,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Transform.rotation(1, 1)
 
+    @pytest.mark.parametrize("dx, dy", [(0, 0), (5, 0), (0, -3), (7, 9)])
+    @pytest.mark.parametrize(
+        "orientation",
+        [
+            (1, 0, 0, 1),
+            (0, 1, -1, 0),
+            (-1, 0, 0, -1),
+            (0, -1, 1, 0),
+            (-1, 0, 0, 1),
+            (1, 0, 0, -1),
+            (0, 1, 1, 0),
+            (0, -1, -1, 0),
+        ],
+    )
+    def test_is_identity_matches_equality(self, orientation, dx, dy):
+        t = Transform(*orientation, dx=dx, dy=dy)
+        assert t.is_identity == (t == Transform())
+        assert t.is_identity == (orientation == (1, 0, 0, 1) and dx == dy == 0)
+
     def test_bad_orientation_matrix_rejected(self):
         with pytest.raises(ValueError):
             Transform(a=2, b=0, c=0, d=1)
