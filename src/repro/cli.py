@@ -147,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="time the scanline host's phases (schedule/expire/insert/"
-        "strip/finalize) and print the per-phase breakdown to stderr "
-        "(flat and --stream modes)",
+        help="print the scanline host's per-phase wall clock (frontend/"
+        "expire/insert/schedule/strip/finalize) to stderr (flat and "
+        "--stream modes)",
     )
     parser.add_argument(
         "--check",
@@ -229,16 +229,13 @@ def main(argv: "list[str] | None" = None) -> int:
         return 2
 
 
-def _print_profile(stats) -> None:
+def _print_profile(timer) -> None:
     """The ``--profile`` stderr line: per-phase seconds plus shares."""
-    profile = getattr(stats, "profile", None)
-    if not profile:
-        return
-    total = sum(profile.values())
+    total = timer.total
     parts = ", ".join(
         f"{phase} {seconds:.3f}s"
         f" ({100.0 * seconds / total:.0f}%)" if total else f"{phase} 0s"
-        for phase, seconds in profile.items()
+        for phase, seconds in timer.seconds.items()
     )
     print(f"ace profile: {parts}", file=sys.stderr)
 
@@ -301,11 +298,11 @@ def _run_extraction(args, tech, layout, name, drc_checker, started) -> int:
             layout, tech, keep_geometry=args.geometry,
             jobs=args.jobs, cache=args.cache,
             strip_consumers=(drc_checker,) if drc_checker else (),
-            engine=args.engine, profile=args.profile,
+            engine=args.engine,
         )
         circuit = report.circuit
         if args.profile:
-            _print_profile(report.stats)
+            _print_profile(report.timer)
         wirelist = to_wirelist(
             circuit, name=name, include_geometry=args.geometry, tech=tech
         )
@@ -419,10 +416,9 @@ def _run_streaming(args, tech, layout, name, drc_checker, started) -> int:
             checkpoint=args.checkpoint,
             resume="auto" if args.resume else False,
             strip_consumers=(drc_checker,) if drc_checker else (),
-            profile=args.profile,
         )
         if args.profile:
-            _print_profile(report.stats)
+            _print_profile(report.timer)
         if args.stats:
             scan = report.stats
             print(

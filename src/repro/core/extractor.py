@@ -74,7 +74,6 @@ def extract_report(
     cache: "str | None" = None,
     strip_consumers: tuple = (),
     engine: str = "auto",
-    profile: bool = False,
 ) -> ExtractionReport:
     """Like :func:`extract` but returns timers and counters as well.
 
@@ -89,10 +88,9 @@ def extract_report(
     (:class:`~repro.core.scanline.StripConsumer`); the design-rule
     checker attaches here so extraction and DRC share one pass.
 
-    ``profile`` arms the scanline host's per-phase wall-clock timers
-    (CLI: ``--profile``); the breakdown lands in
-    ``report.stats.profile`` keyed by
-    :data:`~repro.core.scanline.PROFILE_PHASES`.
+    ``report.timer`` holds the run's wall clock per scanline host
+    phase (:data:`~repro.core.scanline.PROFILE_PHASES`); building the
+    stream and engine is billed to ``frontend``.
     """
     tech = tech or NMOS()
     timer = PhaseTimer()
@@ -106,7 +104,6 @@ def extract_report(
         timer=timer,
         strip_consumers=strip_consumers,
         engine=engine,
-        profile=profile,
     )
     circuit = scan.run(stream)
     return ExtractionReport(

@@ -52,15 +52,17 @@ the pure-python reference back-end or, when numpy is importable, a
 vectorized strip-batch back-end.  Both produce byte-identical wirelists;
 docs/ENGINES.md documents the split and the parity contract.
 
-Pass ``profile=True`` (CLI: ``--profile``) to accumulate wall-clock
-seconds per host phase -- ``schedule`` / ``expire`` / ``insert`` /
-``strip`` / ``finalize`` -- into :attr:`ScanStats.profile`.
+The engine bills its wall clock to its :class:`~repro.core.stats.PhaseTimer`
+per host phase -- ``frontend`` / ``expire`` / ``insert`` / ``schedule`` /
+``strip`` / ``finalize`` (:data:`PROFILE_PHASES`) -- one clock read per
+phase switch, so the phases tile the sweep.  ``--profile`` prints that
+breakdown; the paper's time-distribution table folds it into
+:data:`~repro.core.stats.PHASES`.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from bisect import bisect_left, bisect_right
 
 from ..frontend.instantiate import PlacedLabel
@@ -69,12 +71,12 @@ from ..geometry import Box
 from ..tech import Technology, scan_layers
 from .columnar import DIED_OPEN, NO_NET, LayerTable
 from .netlist import CHANNEL, BoundaryRecord, Circuit, Face
-from .stats import PhaseTimer, ScanStats
+from .stats import SCAN_PHASES, PhaseTimer, ScanStats
 from .stripengine import CondSource, create_strip_engine
 from .unionfind import UnionFind
 
-#: Host profiler phase keys (``ScanStats.profile``).
-PROFILE_PHASES = ("schedule", "expire", "insert", "strip", "finalize")
+#: The host's phase keys in :attr:`PhaseTimer.seconds`.
+PROFILE_PHASES = tuple(SCAN_PHASES)
 
 #: Deliberately broken scanline rules, set only by the differential
 #: harness's fault-injection self-test (:mod:`repro.difftest.faults`).
@@ -125,7 +127,6 @@ class ScanlineEngine:
         timer: PhaseTimer | None = None,
         strip_consumers: "tuple[StripConsumer, ...]" = (),
         engine: str = "auto",
-        profile: bool = False,
     ) -> None:
         self.tech = tech
         self.keep_geometry = keep_geometry
@@ -133,17 +134,6 @@ class ScanlineEngine:
         self.timer = timer or PhaseTimer()
         self.stats = ScanStats()
         self.strip_consumers = tuple(strip_consumers)
-
-        #: per-phase wall clock, shared with ``stats.profile`` so the
-        #: bench and /metrics read it straight off the counters object
-        self._profile: dict[str, float] | None = (
-            {phase: 0.0 for phase in PROFILE_PHASES} if profile else None
-        )
-        self.stats.profile = self._profile
-        #: seconds spent inside :meth:`_flush_run` since construction;
-        #: phase sections subtract their delta so a flush fired from
-        #: within expire/insert bills to "strip", not the host phase
-        self._flush_spent = 0.0
 
         roles = scan_layers(tech)
         self._metal = roles.metal
@@ -261,8 +251,6 @@ class ScanlineEngine:
         """
         timer = self.timer
         stats = self.stats
-        prof = self._profile
-        perf = time.perf_counter
         timer.start("frontend")
         if not self._primed:
             y = stream.next_top()
@@ -288,14 +276,8 @@ class ScanlineEngine:
             self._stop += 1
             scanned_before = stats.intervals_scanned
             pops_before = stats.heap_pops
-            timer.start("insert")
-            if prof is None:
-                self._expire(y)
-            else:
-                fs = self._flush_spent
-                t0 = perf()
-                self._expire(y)
-                prof["expire"] += perf() - t0 - (self._flush_spent - fs)
+            timer.start("expire")
+            self._expire(y)
             timer.start("frontend")
             records = stream.fetch(y)
             timer.start("insert")
@@ -308,22 +290,11 @@ class ScanlineEngine:
                 # must land first so union-find id order matches the
                 # stop-by-stop sequence exactly.
                 self._flush_run()
-            if prof is None:
-                self._enter_continuations(y)
-                if records:
-                    self._insert_boxes(records)
-            else:
-                t0 = perf()
-                self._enter_continuations(y)
-                if records:
-                    self._insert_boxes(records)
-                prof["insert"] += perf() - t0
-            if prof is None:
-                y_next = self._next_stop(stream, y)
-            else:
-                t0 = perf()
-                y_next = self._next_stop(stream, y)
-                prof["schedule"] += perf() - t0
+            self._enter_continuations(y)
+            if records:
+                self._insert_boxes(records)
+            timer.start("schedule")
+            y_next = self._next_stop(stream, y)
             overhead = (stats.intervals_scanned - scanned_before) - (
                 stats.heap_pops - pops_before
             )
@@ -332,7 +303,7 @@ class ScanlineEngine:
             if y_next is None:
                 y = None
                 break
-            timer.start("devices")
+            timer.start("strip")
             total_active = self._active_count
             stats.observe_active(total_active)
             if total_active:
@@ -358,14 +329,8 @@ class ScanlineEngine:
             else:
                 if self._run_strips:
                     self._flush_run()
-                if prof is None:
-                    strip_engine.process_strip(y_next, y, stream)
-                else:
-                    t0 = perf()
-                    strip_engine.process_strip(y_next, y, stream)
-                    prof["strip"] += perf() - t0
+                strip_engine.process_strip(y_next, y, stream)
             self._last_strip_diff = len(diff_order)
-            timer.start("frontend")
             y = y_next
 
         if self._run_strips:
@@ -376,59 +341,36 @@ class ScanlineEngine:
     def finish(self) -> Circuit:
         """Close the sweep: flush consumers and fold the circuit."""
         timer = self.timer
-        timer.start("output")
+        timer.start("finalize")
         if self._run_strips:  # pragma: no cover - advance always flushes
             self._flush_run()
-        prof = self._profile
-        if prof is None:
-            for consumer in self.strip_consumers:
-                consumer.finish()
-            circuit = self._finalize()
-        else:
-            t0 = time.perf_counter()
-            for consumer in self.strip_consumers:
-                consumer.finish()
-            circuit = self._finalize()
-            prof["finalize"] += time.perf_counter() - t0
+        for consumer in self.strip_consumers:
+            consumer.finish()
+        circuit = self._finalize()
         timer.stop()
         return circuit
 
     def _flush_run(self) -> None:
         """Hand the deferred strip run to the engine in one call.
 
-        Billed to the ``devices`` timer phase (and the profiler's
-        ``strip`` bucket) regardless of which host phase triggered the
-        flush; the triggering phase subtracts the time via
-        ``_flush_spent``.
+        Billed to the ``strip`` timer phase regardless of which host
+        phase triggered the flush; that phase resumes afterwards.
         """
         strips = self._run_strips
         if not strips:
             return
         timer = self.timer
         prev = timer._active
-        timer.start("devices")
-        prof = self._profile
-        if prof is None:
-            self.strip_engine.process_run(
-                self._run_stop0,
-                strips,
-                self._run_diff_rows,
-                self._run_born_start,
-            )
-        else:
-            t0 = time.perf_counter()
-            self.strip_engine.process_run(
-                self._run_stop0,
-                strips,
-                self._run_diff_rows,
-                self._run_born_start,
-            )
-            dt = time.perf_counter() - t0
-            prof["strip"] += dt
-            self._flush_spent += dt
+        timer.start("strip")
+        self.strip_engine.process_run(
+            self._run_stop0,
+            strips,
+            self._run_diff_rows,
+            self._run_born_start,
+        )
         self._run_strips = []
         self._run_diff_rows = []
-        if prev is not None and prev != "devices":
+        if prev is not None and prev != "strip":
             timer.start(prev)
 
     # ------------------------------------------------------------------
@@ -644,14 +586,6 @@ class ScanlineEngine:
         self._nets.restore(state["nets"])
         self._devs.restore(state["devs"])
         self.stats.restore(state["stats"])
-        if self._profile is not None:
-            # Re-link the shared profile dict: adopt restored timings
-            # when the snapshot carried them, keep accumulating into
-            # the same object either way.
-            if isinstance(self.stats.profile, dict):
-                self._profile = self.stats.profile
-            else:
-                self.stats.profile = self._profile
         self.strip_engine.restore_state(state["engine"])
 
     def _next_stop(self, stream: GeometryStream, y: int) -> int | None:

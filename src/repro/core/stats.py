@@ -9,46 +9,70 @@ benchmarks observe both.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 #: Phase keys, mirroring the paper's breakdown.
 PHASES = ("frontend", "insert", "devices", "output", "misc")
 
+#: The scanline host's phases, each mapped to the paper phase it is
+#: reported under.  The host bills its time to these finer phases;
+#: :meth:`PhaseTimer.percentages` folds them back into :data:`PHASES`.
+SCAN_PHASES = {
+    "frontend": "frontend",
+    "expire": "insert",
+    "insert": "insert",
+    "schedule": "insert",
+    "strip": "devices",
+    "finalize": "output",
+}
+
 
 @dataclass
 class PhaseTimer:
-    """Accumulates wall-clock time per extraction phase."""
+    """Accumulates wall-clock time per extraction phase.
+
+    Phases switch back to back, so the seconds tile the run from the
+    first :meth:`start` to :meth:`stop` with no gap.  A phase outside
+    :data:`SCAN_PHASES` (``output`` for streamed emission) gets its key
+    on first use.
+    """
 
     seconds: dict[str, float] = field(
-        default_factory=lambda: {phase: 0.0 for phase in PHASES}
+        default_factory=lambda: dict.fromkeys(SCAN_PHASES, 0.0)
     )
     _started: float = 0.0
     _active: str | None = None
 
-    def start(self, phase: str) -> None:
-        now = time.perf_counter()
+    def start(self, phase: str | None) -> None:
+        if phase == self._active:
+            return
+        now = perf_counter()
         if self._active is not None:
-            self.seconds[self._active] += now - self._started
+            seconds = self.seconds
+            seconds[self._active] = (
+                seconds.get(self._active, 0.0) + now - self._started
+            )
         self._active = phase
         self._started = now
 
     def stop(self) -> None:
-        if self._active is not None:
-            self.seconds[self._active] += time.perf_counter() - self._started
-            self._active = None
+        """Bill the running phase and leave none running."""
+        self.start(None)
 
     @property
     def total(self) -> float:
         return sum(self.seconds.values())
 
     def percentages(self) -> dict[str, float]:
-        total = self.total
+        """Share of the run per paper phase (:data:`PHASES`)."""
+        paper = dict.fromkeys(PHASES, 0.0)
+        for phase, value in self.seconds.items():
+            paper[SCAN_PHASES.get(phase, phase)] += value
+        total = sum(paper.values())
         if total == 0:
-            return {phase: 0.0 for phase in self.seconds}
-        return {
-            phase: 100.0 * value / total for phase, value in self.seconds.items()
-        }
+            return paper
+        return {phase: 100.0 * value / total for phase, value in paper.items()}
 
 
 @dataclass
@@ -74,33 +98,14 @@ class ScanStats:
     intervals_scanned: int = 0  #: heap entries examined across all stops
     max_stop_overhead: int = 0  #: max per-stop examinations beyond removals
 
-    #: Wall-clock seconds per host phase (schedule / expire / insert /
-    #: strip / finalize), populated only when the host runs with
-    #: ``profile=True``; ``None`` otherwise so counter comparisons across
-    #: engines and checkpoint round-trips stay timing-free by default.
-    profile: "dict[str, float] | None" = None
-
     def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (checkpoint payload).
-
-        The optional ``profile`` timings ride along only when profiling
-        is on; an unprofiled snapshot is byte-identical to the pre-
-        profiler schema.
-        """
-        out = dict(vars(self))
-        if out.get("profile") is None:
-            out.pop("profile", None)
-        else:
-            out["profile"] = dict(out["profile"])
-        return out
+        """All counters as a plain dict (checkpoint payload)."""
+        return dict(vars(self))
 
     def restore(self, values: dict[str, int]) -> None:
         """Restore counters captured by :meth:`as_dict`."""
         for key, value in values.items():
-            if key == "profile":
-                self.profile = {k: float(v) for k, v in value.items()}
-            else:
-                setattr(self, key, int(value))
+            setattr(self, key, int(value))
 
     @property
     def mean_active(self) -> float:

@@ -107,17 +107,23 @@ class JsonEnvelopeStore:
         self.stats = CacheStats()
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file_for(key))
+
+    def _file_for(self, key: str, suffix: str = ".json") -> str:
+        # A plain string join: building a Path interns every unique key,
+        # and a resize of the interned-string table mid-sweep would land
+        # in a streamed run's allocation peak.
+        return os.path.join(self.root, key[:2], key + suffix)
 
     def validate_payload(self, payload: dict) -> None:
         """Reject malformed payloads by raising SerializationError."""
 
     def get_payload(self, key: str) -> "dict | None":
         """The validated payload for ``key``, or None (miss or rejected)."""
-        path = self.path_for(key)
+        path = self._file_for(key)
         try:
             if self.ttl_seconds is not None:
-                age = time.time() - path.stat().st_mtime
+                age = time.time() - os.stat(path).st_mtime
                 if age > self.ttl_seconds:
                     self.stats.expired += 1
                     self.stats.misses += 1
@@ -156,9 +162,9 @@ class JsonEnvelopeStore:
             "checksum": hashlib.sha256(body.encode()).hexdigest(),
             self.payload_field: payload,
         }
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        path = self._file_for(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp = self._file_for(key, f".tmp.{os.getpid()}")
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(envelope, handle)
         os.replace(tmp, path)
@@ -184,7 +190,7 @@ class JsonEnvelopeStore:
         self.validate_payload(payload)
         return payload
 
-    def _reject(self, path: Path) -> None:
+    def _reject(self, path: str) -> None:
         self.stats.invalid += 1
         try:
             os.remove(path)

@@ -109,7 +109,6 @@ class ExtractionEngine:
         resolution: int = 50,
         metrics: "Metrics | None" = None,
         engine: str = "auto",
-        profile: bool = True,
     ) -> None:
         self.metrics = metrics if metrics is not None else Metrics()
         self.results = ResultCache(
@@ -131,10 +130,6 @@ class ExtractionEngine:
         # results are byte-identical across engines, so the engine name
         # stays out of the result-cache facet on purpose.
         self.engine = engine
-        # Arm the scanline host's per-phase profiler on flat jobs so
-        # /metrics can decompose the extract stage (scan_* rows); a
-        # handful of clock reads per stop, invisible next to the sweep.
-        self.profile = profile
         self._state_lock = threading.Lock()
         self._incremental: "dict[tuple[str, int], IncrementalExtractor]" = {}
         self._memo_locks: "dict[tuple[str, int], threading.Lock]" = {}
@@ -270,10 +265,9 @@ class ExtractionEngine:
                 resolution=self.resolution,
                 strip_consumers=consumers,
                 engine=self.engine,
-                profile=self.profile,
             )
             circuit = report.circuit
-            self.metrics.fold_scan_stats(report.stats)
+            self.metrics.fold_scan_stats(report.stats, report.timer.seconds)
         self.metrics.observe_stage("extract", time.perf_counter() - started)
 
         self._enter_stage(job, "wirelist")
@@ -374,11 +368,10 @@ class ExtractionEngine:
                 band_height=options.band_height,
                 strip_consumers=consumers,
                 progress=observe_band,
-                profile=self.profile,
             )
         finally:
             self.metrics.stream_finished(job.ident)
-        self.metrics.fold_scan_stats(report.stats)
+        self.metrics.fold_scan_stats(report.stats, report.timer.seconds)
         # Streaming emits the wirelist during the sweep, so extract and
         # wirelist are one stage here.
         self.metrics.observe_stage("extract", time.perf_counter() - started)

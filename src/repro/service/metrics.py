@@ -139,13 +139,14 @@ class Metrics:
             self.latency.observe(latency_seconds)
             self.run_latency.observe(run_seconds)
 
-    def fold_scan_stats(self, scan: object) -> None:
+    def fold_scan_stats(
+        self, scan: object, phase_seconds: "dict[str, float] | None" = None
+    ) -> None:
         """Accumulate a flat run's ScanStats event counters.
 
-        When the run carried the host's per-phase profiler
-        (``ScanStats.profile``), the phase seconds fold into the stage
-        table as ``scan_<phase>`` rows, decomposing the ``extract``
-        stage the same way ``--profile`` does on the CLI.
+        ``phase_seconds`` (the run's ``PhaseTimer.seconds``) fold into
+        the stage table as ``scan_<phase>`` rows, decomposing the
+        ``extract`` stage the same way ``--profile`` does on the CLI.
         """
         with self._lock:
             for name in _SCAN_COUNTERS:
@@ -153,13 +154,11 @@ class Metrics:
             self.peak_active = max(
                 self.peak_active, int(getattr(scan, "peak_active", 0) or 0)
             )
-            profile = getattr(scan, "profile", None)
-            if profile:
-                for phase, seconds in profile.items():
-                    key = f"scan_{phase}"
-                    self.stage_seconds[key] = self.stage_seconds.get(
-                        key, 0.0
-                    ) + float(seconds)
+            for phase, seconds in (phase_seconds or {}).items():
+                key = f"scan_{phase}"
+                self.stage_seconds[key] = self.stage_seconds.get(
+                    key, 0.0
+                ) + float(seconds)
 
     def fold_hext_stats(self, stats: object) -> None:
         """Accumulate a hierarchical run's HextStats counters/timers."""

@@ -36,8 +36,9 @@ from pathlib import Path
 from ..cif import Layout, write as write_cif
 from ..parallel.serialize import canonical_json
 
-#: Bump to invalidate every older checkpoint on load.
-CHECKPOINT_FORMAT = 1
+#: Bump to invalidate every older checkpoint on load.  Format 2 drops
+#: the per-phase timings format 1 could carry in the host's counters.
+CHECKPOINT_FORMAT = 2
 
 
 class CheckpointError(RuntimeError):

@@ -97,7 +97,6 @@ def stream_extract(
     prefetch: int = 1,
     strip_consumers: tuple = (),
     progress: "ProgressFn | None" = None,
-    profile: bool = False,
 ) -> StreamReport:
     """Extract ``source`` band by band, writing the wirelist to ``out``.
 
@@ -120,9 +119,10 @@ def stream_extract(
         prefetch: bands the producer thread pulls ahead (0 = pull
             inline on the consumer thread).
         progress: callback after each band, for job-status reporting.
-        profile: arm the scanline host's per-phase timers; the
-            breakdown rides ``report.stats.profile`` and survives
-            checkpoint/resume.
+
+    ``report.timer`` holds this process's wall clock per scanline host
+    phase, plus ``output`` for band retirement and emission; a resumed
+    run starts its clock afresh, since checkpoints carry no timings.
     """
     tech = tech or NMOS()
     if resume and checkpoint is None:
@@ -140,7 +140,6 @@ def stream_extract(
         timer=timer,
         strip_consumers=strip_consumers,
         engine=engine,
-        profile=profile,
     )
 
     digest = ckpt.layout_digest(layout, resolution, tech.lambda_)

@@ -94,16 +94,15 @@ class TestMetrics:
         assert snap["scanline"]["boxes_in"] == 20
         assert snap["scanline"]["devices_created"] == 4
         assert snap["scanline"]["peak_active"] == 5  # max, not sum
-        # No profiler on these runs: no scan_* stage rows appear.
+        # No phase seconds passed: no scan_* stage rows appear.
         assert not any(k.startswith("scan_") for k in snap["stages"])
 
     def test_fold_scan_stats_folds_profile_into_stages(self):
-        class _Profiled(_FakeScanStats):
-            profile = {"strip": 0.5, "finalize": 0.25}
+        phase_seconds = {"strip": 0.5, "finalize": 0.25}
 
         metrics = Metrics()
-        metrics.fold_scan_stats(_Profiled())
-        metrics.fold_scan_stats(_Profiled())
+        metrics.fold_scan_stats(_FakeScanStats(), phase_seconds)
+        metrics.fold_scan_stats(_FakeScanStats(), phase_seconds)
         snap = metrics.snapshot()
         assert snap["stages"]["scan_strip"] == pytest.approx(1.0)
         assert snap["stages"]["scan_finalize"] == pytest.approx(0.5)

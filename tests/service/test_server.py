@@ -4,6 +4,7 @@ import pytest
 
 from repro.cif import parse, write as write_cif
 from repro.core import extract_report
+from repro.core.scanline import PROFILE_PHASES
 from repro.service import (
     ExtractionService,
     JobFailed,
@@ -183,6 +184,10 @@ class TestObservability:
         assert metrics["latency"]["observed"] == 3
         # Stage timings cover the whole pipeline; hext folded its own.
         assert {"parse", "extract", "wirelist"} <= set(metrics["stages"])
+        # The flat jobs decompose extract into every scanline host phase.
+        assert {f"scan_{phase}" for phase in PROFILE_PHASES} <= set(
+            metrics["stages"]
+        )
         assert metrics["scanline"]["devices_created"] >= 2
         assert metrics["hext"]["windows_seen"] >= 1
         assert metrics["warm"]["window_memos"]

@@ -10,6 +10,7 @@ save/load/resume path end to end.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from repro.streaming import (
     save_checkpoint,
     stream_extract,
 )
+from repro.streaming.checkpoint import CHECKPOINT_FORMAT
 from repro.workloads.mesh import poly_diff_mesh
 from tests.golden.cases import GOLDEN_CASES
 
@@ -185,6 +187,26 @@ def test_resume_refuses_corrupt_checkpoint(tmp_path):
     text = ck.read_text()
     ck.write_text(text.replace('"band"', '"bend"', 1))
     with pytest.raises(CheckpointError):
+        stream_extract(
+            nand2(),
+            TECH,
+            band_height=1000,
+            checkpoint=str(ck),
+            resume=True,
+        )
+
+
+def test_resume_refuses_format_1_checkpoint(tmp_path):
+    """A format-1 envelope may carry host timings in its counters; it
+    is refused by format, before any of its state is restored."""
+    ck = tmp_path / "sweep.ck"
+    stream_extract(nand2(), TECH, band_height=1000, checkpoint=str(ck))
+    envelope = json.loads(ck.read_text())
+    assert envelope["format"] == CHECKPOINT_FORMAT
+    envelope["format"] = 1
+    envelope["state"]["host"]["stats"]["profile"] = {"strip": 0.5}
+    ck.write_text(json.dumps(envelope))
+    with pytest.raises(CheckpointError, match="format 1"):
         stream_extract(
             nand2(),
             TECH,

@@ -94,7 +94,11 @@ class TestBenchScanline:
         )
         profile = rows[0]["profile"]
         assert set(profile) == set(PROFILE_PHASES)
+        assert "frontend" in profile
         assert all(seconds >= 0.0 for seconds in profile.values())
+        # The breakdown is the timed repeat's own clock, so the phases
+        # never add up to more than the row's wall time.
+        assert sum(profile.values()) <= rows[0]["seconds"]
 
     def test_main_profile_writes_sibling_artifact(self, tmp_path):
         out = tmp_path / "BENCH_scanline.json"
