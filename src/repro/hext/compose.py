@@ -82,13 +82,25 @@ def compose(a: Placed, b: Placed, tech: Technology) -> Fragment:
     # line, face, and layer; per-layer spans on one face of one line are
     # disjoint and sorted, so each pairing is a linear interval join --
     # this is the "step through the interface-segment lists for
-    # corresponding layers" of section 3.
-    index_a: dict[tuple, list[IfaceRec]] = defaultdict(list)
-    for rec in recs_a:
-        index_a[(rec.face, rec.fixed, rec.layer)].append(rec)
+    # corresponding layers" of section 3.  Only the groups of ``a`` that
+    # can meet one of ``b``'s are built: the opposite face of the same
+    # line, on the same layer or channel facing diffusion.
     index_b: dict[tuple, list[IfaceRec]] = defaultdict(list)
     for rec in recs_b:
         index_b[(rec.face, rec.fixed, rec.layer)].append(rec)
+    wanted: set[tuple] = set()
+    for face, fixed, layer in index_b:
+        far = opposite_face(face)
+        wanted.add((far, fixed, layer))
+        if layer == diff_layer:
+            wanted.add((far, fixed, CHANNEL))
+        elif layer == CHANNEL:
+            wanted.add((far, fixed, diff_layer))
+    index_a: dict[tuple, list[IfaceRec]] = defaultdict(list)
+    for rec in recs_a:
+        key = (rec.face, rec.fixed, rec.layer)
+        if key in wanted:
+            index_a[key].append(rec)
     for group in index_a.values():
         group.sort(key=lambda r: r.lo)
     for group in index_b.values():
@@ -139,20 +151,35 @@ def compose(a: Placed, b: Placed, tech: Technology) -> Fragment:
     # Step 3: the new interface = surviving spans of both windows.  A
     # side's records were already filtered against its own region by the
     # composes that built it, so each side is probed only against the
-    # *other* side's rectangles (with a bounding-box fast path).
+    # *other* side's rectangles.  A record outside the other side's
+    # bounding box survives whole; a conducting one passes through as
+    # the same object.
     rects_a = a.region_rects()
     rects_b = b.region_rects()
     region = normalize_region(rects_a + rects_b)
-    bbox_a = _bbox(rects_a)
-    bbox_b = _bbox(rects_b)
     survivors: list[IfaceRec] = []
     boundary_roots: set[int] = set()
-    for side_recs, offset, far_rects, far_bbox in (
-        (recs_a, 0, rects_b, bbox_b),
-        (recs_b, pa, rects_a, bbox_a),
+    for side_recs, offset, far_rects in (
+        (recs_a, 0, rects_b),
+        (recs_b, pa, rects_a),
     ):
+        far = _bbox(far_rects)
+        xmin, ymin, xmax, ymax = far.xmin, far.ymin, far.xmax, far.ymax
         for rec in side_recs:
-            if _outside_bbox(rec, far_bbox):
+            if rec.face == LEFT or rec.face == RIGHT:
+                outside = (
+                    rec.fixed < xmin or rec.fixed > xmax
+                    or rec.hi <= ymin or rec.lo >= ymax
+                )
+            else:
+                outside = (
+                    rec.fixed < ymin or rec.fixed > ymax
+                    or rec.hi <= xmin or rec.lo >= xmax
+                )
+            if outside and rec.layer != CHANNEL:
+                survivors.append(rec)
+                continue
+            if outside:
                 spans = [(rec.lo, rec.hi)]
             else:
                 spans = _surviving_spans(rec, far_rects)
@@ -220,23 +247,6 @@ def _bbox(rects: list[Box]) -> Box:
         min(r.ymin for r in rects),
         max(r.xmax for r in rects),
         max(r.ymax for r in rects),
-    )
-
-
-def _outside_bbox(rec: IfaceRec, bbox: Box) -> bool:
-    """True when ``rec``'s span cannot touch material inside ``bbox``."""
-    if rec.face in (LEFT, RIGHT):
-        return (
-            rec.fixed < bbox.xmin
-            or rec.fixed > bbox.xmax
-            or rec.hi <= bbox.ymin
-            or rec.lo >= bbox.ymax
-        )
-    return (
-        rec.fixed < bbox.ymin
-        or rec.fixed > bbox.ymax
-        or rec.hi <= bbox.xmin
-        or rec.lo >= bbox.xmax
     )
 
 

@@ -22,6 +22,7 @@ Subdivision follows section 3 of the HEXT paper:
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from ..cif.layout import TOP_SYMBOL, Layout
@@ -196,11 +197,10 @@ class WindowPlanner:
             Content(bbox, instances=[(number, transform)])
             for bbox, number, transform in placed
         ]
-        # Filler cells along the instance-box cut lines.  Cells covered
-        # by an instance box are marked directly from the boxes (cuts
-        # come from box edges, so every box covers whole cells).
-        from bisect import bisect_left
-
+        # Cut the area along the instance-box edges into a grid of cells
+        # and record each cell's window: cuts come from box edges, so
+        # every instance box covers whole cells, and every other cell is
+        # a filler window of its own, numbered in (i, j) order.
         xs = sorted(
             {region.xmin, region.xmax}
             | {b.xmin for b, _, _ in placed}
@@ -211,33 +211,54 @@ class WindowPlanner:
             | {b.ymin for b, _, _ in placed}
             | {b.ymax for b, _, _ in placed}
         )
-        covered: set[tuple[int, int]] = set()
-        for box, _, _ in placed:
-            i0 = bisect_left(xs, box.xmin)
-            i1 = bisect_left(xs, box.xmax)
+        nx, ny = len(xs) - 1, len(ys) - 1
+        owner = [[-1] * ny for _ in range(nx)]
+        for index, (box, _, _) in enumerate(placed):
             j0 = bisect_left(ys, box.ymin)
             j1 = bisect_left(ys, box.ymax)
-            for i in range(i0, i1):
-                for j in range(j0, j1):
-                    covered.add((i, j))
-        for i, (x1, x2) in enumerate(zip(xs, xs[1:])):
-            for j, (y1, y2) in enumerate(zip(ys, ys[1:])):
-                if (i, j) not in covered:
-                    windows.append(Content(Box(x1, y1, x2, y2)))
+            for i in range(bisect_left(xs, box.xmin), bisect_left(xs, box.xmax)):
+                owner[i][j0:j1] = [index] * (j1 - j0)
+        for i in range(nx):
+            column = owner[i]
+            for j in range(ny):
+                if column[j] < 0:
+                    column[j] = len(windows)
+                    windows.append(
+                        Content(Box(xs[i], ys[j], xs[i + 1], ys[j + 1]))
+                    )
 
-        # Clip geometry into windows.
+        def owners(i0: int, i1: int, j0: int, j1: int) -> set[int]:
+            """Windows of the cells ``[i0, i1) x [j0, j1)``, clamped."""
+            j0, j1 = max(j0, 0), min(j1, ny)
+            return {
+                index
+                for i in range(max(i0, 0), min(i1, nx))
+                for index in owner[i][j0:j1]
+            }
+
+        # Clip each geometry box into the windows of the cells it
+        # overlaps with positive area; boxes are visited in input order,
+        # so every window's geometry stays in that order.
         for layer, box in geometry:
-            for window in windows:
+            for index in owners(
+                bisect_right(xs, box.xmin) - 1, bisect_left(xs, box.xmax),
+                bisect_right(ys, box.ymin) - 1, bisect_left(ys, box.ymax),
+            ):
+                window = windows[index]
                 clipped = box.clipped(window.region)
                 if clipped is not None:
                     window.geometry.append((layer, clipped))
 
-        # Assign each label to the first window containing it.
+        # Assign each label to the first window containing it, boundary
+        # included: the lowest-numbered window among the (up to four)
+        # cells whose closed area holds the point.
         for label in labels:
-            for window in windows:
-                if window.region.contains_point(label.x, label.y):
-                    window.labels.append(label)
-                    break
+            hit = owners(
+                bisect_left(xs, label.x) - 1, bisect_right(xs, label.x),
+                bisect_left(ys, label.y) - 1, bisect_right(ys, label.y),
+            )
+            if hit:
+                windows[min(hit)].labels.append(label)
 
         return [w for w in windows if not w.is_empty()]
 

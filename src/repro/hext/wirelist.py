@@ -89,19 +89,24 @@ def _level_referenced(frag: Fragment, is_top: bool) -> set[int]:
 
 
 def _topological(root: Fragment) -> list[Fragment]:
-    """Unique fragments with every parent before any of its children."""
+    """Unique fragments with every parent before any of its children.
+
+    The reverse of a depth-first postorder, walked with an explicit
+    stack: a row of N windows composes into a chain N fragments deep.
+    """
     postorder: list[Fragment] = []
-    visited: set[int] = set()
-
-    def visit(frag: Fragment) -> None:
-        if id(frag) in visited:
-            return
-        visited.add(id(frag))
-        for child in frag.children:
-            visit(child.fragment)
-        postorder.append(frag)
-
-    visit(root)
+    visited = {id(root)}
+    stack = [(root, iter(root.children))]
+    while stack:
+        frag, children = stack[-1]
+        for child in children:
+            if id(child.fragment) not in visited:
+                visited.add(id(child.fragment))
+                stack.append((child.fragment, iter(child.fragment.children)))
+                break
+        else:
+            stack.pop()
+            postorder.append(frag)
     postorder.reverse()
     return postorder
 

@@ -10,6 +10,7 @@ netlist comparator.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..core.unionfind import UnionFind
@@ -46,15 +47,22 @@ def flatten(wirelist: Wirelist) -> FlatCircuit:
 
     Net equivalences (``(Net a b)`` declarations and subpart net maps)
     are resolved through a union-find, so an alias chain across any
-    number of composition levels collapses to a single net.
+    number of composition levels collapses to a single net.  The
+    expansion keeps its own stack, so a chain of parts may be as deep as
+    memory allows; a part that instantiates itself, directly or through
+    other parts, raises :class:`ValueError`.
     """
     nets = UnionFind()
     names: dict[int, list[str]] = {}
     raw_devices: list[tuple[str, int | None, int | None, int | None]] = []
+    parts: dict[str, DefPart] = {}
+    for defpart in wirelist.defparts:
+        parts.setdefault(defpart.name, defpart)
 
-    def instantiate(part: DefPart, bindings: dict[str, int], depth: int) -> None:
-        if depth > 1000:
-            raise RecursionError(f"wirelist nesting too deep at {part.name}")
+    def instantiate(
+        part: DefPart, bindings: dict[str, int]
+    ) -> Iterator[tuple[DefPart, dict[str, int]]]:
+        """Expand ``part``'s own level, then yield each subpart to expand."""
         local = dict(bindings)
 
         def net_id(name: str) -> int:
@@ -114,14 +122,30 @@ def flatten(wirelist: Wirelist) -> FlatCircuit:
             )
 
         for sub in part.subparts:
-            child = wirelist.defpart(sub.part)
-            child_bindings = {
+            child = parts.get(sub.part) or wirelist.defpart(sub.part)
+            yield child, {
                 child_net: net_id(parent_net)
                 for child_net, parent_net in sub.net_map.items()
             }
-            instantiate(child, child_bindings, depth + 1)
 
-    instantiate(wirelist.top_part, {}, 0)
+    # Depth-first over the instance tree: a child is expanded completely
+    # before its parent's next subpart binds any nets, which is the order
+    # (of nets.make() calls and of devices) a recursive walk gives.
+    top = wirelist.top_part
+    stack = [(top.name, instantiate(top, {}))]
+    on_path = {top.name}
+    while stack:
+        name, expansion = stack[-1]
+        step = next(expansion, None)
+        if step is None:
+            stack.pop()
+            on_path.discard(name)
+            continue
+        child, bindings = step
+        if child.name in on_path:
+            raise ValueError(f"part {child.name} instantiates itself")
+        stack.append((child.name, instantiate(child, bindings)))
+        on_path.add(child.name)
 
     # Renumber roots densely.
     root_index: dict[int, int] = {}

@@ -9,6 +9,7 @@ never change *what* it returns.
 """
 
 import threading
+import time
 
 from repro.cif import write as write_cif
 from repro.fleet import FleetRouter, FleetSupervisor, RouterConfig
@@ -109,9 +110,16 @@ def test_sigkill_mid_load_reroutes_with_byte_parity(tmp_path):
         for name, wirelist in results.items():
             assert wirelist == reference[name], f"{name} bytes diverged"
 
-        counters = ServiceClient(port=router.port, timeout=30.0).metrics()[
-            "fleet"
-        ]["counters"]
+        # Client polls can fail every job over before the router's next
+        # health probe (every 0.2 s here) runs; wait for that probe to
+        # count the dead shard.
+        metrics_client = ServiceClient(port=router.port, timeout=30.0)
+        deadline = time.monotonic() + 10.0
+        while True:
+            counters = metrics_client.metrics()["fleet"]["counters"]
+            if counters.get("shard_down", 0) or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
         assert counters.get("failover", 0) >= 1
         assert counters.get("shard_down", 0) >= 1
     finally:

@@ -144,3 +144,26 @@ class TestPartials:
         # Channel no longer on the boundary: completed with the terminal.
         (device,) = merged.devices
         assert device.terms == {1: 2}
+
+    def test_diffusion_facing_channel_gains_terminal(self):
+        diff_side = Fragment(
+            region=(Box(0, 0, 10, 10),),
+            net_count=1,
+            interface=(IfaceRec("R", "ND", 10, 4, 6, 0),),
+        )
+        channel_side = Fragment(
+            region=(Box(0, 0, 10, 10),),
+            net_count=1,  # the gate poly net
+            partials=(
+                DeviceRec(
+                    area=50, terms={}, gates={0}, impl=False, loc=(6, 0)
+                ),
+            ),
+            interface=(IfaceRec("L", "__channel__", 0, 4, 6, 0),),
+        )
+        merged = compose(
+            Placed(diff_side, 0, 0), Placed(channel_side, 10, 0), TECH
+        )
+        (device,) = merged.devices
+        assert device.terms == {0: 2}
+        assert device.gates == {1}

@@ -1,6 +1,10 @@
 """HEXT front-end: subdivision and window canonicalization."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.cif import Layout
+from repro.frontend import PlacedLabel
 from repro.geometry import Box, Transform
 from repro.hext import Content, WindowPlanner, content_key
 
@@ -109,3 +113,99 @@ class TestContentKey:
         a = Content(Box(0, 0, 10, 10), geometry=[g1, g2])
         b = Content(Box(0, 0, 10, 10), geometry=[g2, g1])
         assert content_key(a) == content_key(b)
+
+
+def _naive_slice(region, placed, geometry, labels):
+    """The slicing step written all-pairs: every box against every window."""
+    windows = [
+        Content(bbox, instances=[(number, transform)])
+        for bbox, number, transform in placed
+    ]
+    xs = sorted({region.xmin, region.xmax} | {b.xmin for b, _, _ in placed}
+                | {b.xmax for b, _, _ in placed})
+    ys = sorted({region.ymin, region.ymax} | {b.ymin for b, _, _ in placed}
+                | {b.ymax for b, _, _ in placed})
+    for x1, x2 in zip(xs, xs[1:]):
+        for y1, y2 in zip(ys, ys[1:]):
+            cell = Box(x1, y1, x2, y2)
+            if not any(cell.overlaps(b) for b, _, _ in placed):
+                windows.append(Content(cell))
+    for layer, box in geometry:
+        for window in windows:
+            clipped = box.clipped(window.region)
+            if clipped is not None:
+                window.geometry.append((layer, clipped))
+    for label in labels:
+        for window in windows:
+            if window.region.contains_point(label.x, label.y):
+                window.labels.append(label)
+                break
+    return [w for w in windows if not w.is_empty()]
+
+
+def _box(x, y, w, h):
+    return Box(x, y, x + w, y + h)
+
+
+#: Small integer boxes: on a 12-unit field most of them straddle a cut,
+#: share an edge with a window, or stick out of the region.
+small_boxes = st.builds(
+    _box, st.integers(-3, 12), st.integers(-3, 12),
+    st.integers(1, 6), st.integers(1, 6),
+)
+
+
+def _disjoint(boxes):
+    kept = []
+    for box in boxes:
+        if not any(box.overlaps(other) for other in kept):
+            kept.append(box)
+    return kept
+
+
+class TestSlice:
+    """``_slice`` against the all-pairs clip, window for window."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        region=st.builds(
+            _box, st.integers(-2, 2), st.integers(-2, 2),
+            st.integers(4, 14), st.integers(4, 14),
+        ),
+        instance_boxes=st.lists(small_boxes, max_size=6).map(_disjoint),
+        geometry=st.lists(
+            st.tuples(st.sampled_from(["ND", "NP", "NM"]), small_boxes),
+            max_size=12,
+        ),
+        points=st.lists(
+            st.tuples(st.integers(-4, 16), st.integers(-4, 16)), max_size=6
+        ),
+    )
+    # Geometry outside the region, touching a window only along an edge
+    # or at a corner, and labels on a cut line and on a cut corner.
+    @example(
+        region=Box(0, 0, 10, 10),
+        instance_boxes=[Box(2, 2, 5, 5)],
+        geometry=[
+            ("ND", Box(5, 2, 7, 5)),
+            ("NP", Box(0, 5, 2, 8)),
+            ("NM", Box(11, 11, 13, 13)),
+            ("NM", Box(-4, 3, 0, 4)),
+            ("ND", Box(1, 1, 9, 9)),
+        ],
+        points=[(5, 3), (2, 2), (5, 5), (10, 10), (11, 4), (0, 0)],
+    )
+    def test_matches_all_pairs_clip(
+        self, region, instance_boxes, geometry, points
+    ):
+        placed = [
+            (box, index + 1, Transform.translation(box.xmin, box.ymin))
+            for index, box in enumerate(instance_boxes)
+        ]
+        labels = [
+            PlacedLabel(f"L{index}", x, y, "NM")
+            for index, (x, y) in enumerate(points)
+        ]
+        planner = WindowPlanner(Layout())
+        fast = planner._slice(region, placed, geometry, labels)
+        assert fast == _naive_slice(region, placed, geometry, labels)

@@ -1,5 +1,7 @@
 """Flattening hierarchical wirelists."""
 
+import pytest
+
 from repro.wirelist import (
     DefPart,
     DeviceInstance,
@@ -99,3 +101,53 @@ class TestHierarchy:
             if n is not None
         }
         assert len(used) == 4  # IN, OUT(=X=Y=Z), VDD, GND
+
+
+class TestNesting:
+    def _chain(self, depth: int) -> Wirelist:
+        """``depth`` parts, each instantiating the next; the last is an inverter."""
+        parts = [_inverter_part("L0")]
+        for level in range(1, depth):
+            parts.append(
+                DefPart(
+                    name=f"L{level}",
+                    exports=["IN", "OUT", "VDD", "GND"],
+                    subparts=[
+                        SubpartInstance(
+                            f"L{level - 1}",
+                            "P1",
+                            net_map={n: n for n in ("IN", "OUT", "VDD", "GND")},
+                        )
+                    ],
+                )
+            )
+        return Wirelist("x", parts, top=f"L{depth - 1}")
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        import sys
+
+        flat = flatten(self._chain(sys.getrecursionlimit() + 100))
+        assert len(flat.devices) == 2
+        assert flat.net_count == 4
+
+    def test_part_instantiating_itself_raises(self):
+        loop = DefPart(name="loop", subparts=[SubpartInstance("loop", "P1")])
+        with pytest.raises(ValueError, match="loop instantiates itself"):
+            flatten(Wirelist("x", [loop], top="loop"))
+
+    def test_cycle_through_another_part_raises(self):
+        a = DefPart(name="A", subparts=[SubpartInstance("B", "P1")])
+        b = DefPart(name="B", subparts=[SubpartInstance("A", "P1")])
+        with pytest.raises(ValueError, match="A instantiates itself"):
+            flatten(Wirelist("x", [a, b], top="A"))
+
+    def test_repeated_part_is_not_a_cycle(self):
+        inv = _inverter_part()
+        pair = DefPart(
+            name="pair",
+            subparts=[
+                SubpartInstance("inv", "P1"),
+                SubpartInstance("inv", "P2"),
+            ],
+        )
+        assert len(flatten(Wirelist("x", [inv, pair], top="pair")).devices) == 4
