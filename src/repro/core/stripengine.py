@@ -92,11 +92,6 @@ class StripEngine:
     #: concrete engine name ("python" / "numpy")
     name = "abstract"
 
-    #: True when the engine implements :meth:`process_run`, letting the
-    #: host defer side-effect-free stops and hand them over as one
-    #: vectorized strip run (docs/ENGINES.md).
-    supports_runs = False
-
     #: False when the engine derives the net-root -> wirelist-index map
     #: itself (from its own canonical-order arrays); the host then skips
     #: building the ``index_of`` dict and passes ``None`` unless window
@@ -110,30 +105,6 @@ class StripEngine:
         self, y_lo: int, y_hi: int, stream: "GeometryStream"
     ) -> None:
         """Step 2.c for the strip ``[y_lo, y_hi)``."""
-        raise NotImplementedError
-
-    def process_run(
-        self,
-        stop0: int,
-        strips: "list[tuple[int, int]]",
-        diff_rows: "list[int]",
-        born_start: int,
-    ) -> None:
-        """Step 2.c for a *run* of deferred consecutive stops.
-
-        ``strips`` holds one ``(y_lo, y_hi)`` band per stop, top to
-        bottom, for stop ordinals ``stop0 .. stop0 + len(strips) - 1``.
-        ``diff_rows`` are the diffusion-layer row ids live when the run
-        opened and ``born_start`` the diffusion row count at that
-        moment; together with the columnar ``born``/``died`` stop
-        stamps they reconstruct every strip's diffusion view.  The host
-        guarantees: no strip in the run binds vertically to its
-        predecessor, the contact/buried/implant tables were empty for
-        every strip, the poly table is unchanged since the run opened,
-        no label lands in any strip, and no union-find call was issued
-        since the run opened.  Only engines with ``supports_runs`` set
-        receive this call.
-        """
         raise NotImplementedError
 
     def touch_net(self, net: int, xmin: int, ymax: int) -> None:

@@ -539,7 +539,11 @@ class FleetRouter:
         For a completed job the result payload is fetched eagerly (one
         upstream call) so every later ``/result`` poll — including the
         coalesced waiters' — is answered from the router without
-        touching the shard again.
+        touching the shard again.  A ``done`` job whose result cannot be
+        fetched (its shard died between completion and the fetch) is
+        not terminal: it is resubmitted instead, which is cheap because
+        the shared store usually holds the result, and a later poll
+        finishes it.  So a terminal ``done`` job always has its result.
         """
         out = {**status_payload, "job": job.ident}
         result = out.pop("result", None)
@@ -555,6 +559,9 @@ class FleetRouter:
                 rstatus, rpayload = 0, {}
             if rstatus == 200:
                 job.result = rpayload.get("result")
+        if state == "done" and job.result is None:
+            await self._rescue(job)
+            return
         job.final = out
         self.table.mark_terminal(job, state)
 
@@ -627,13 +634,7 @@ class FleetRouter:
         if not want_result:
             return 200, job.final, {}
         if job.state == "done":
-            if job.result is not None:
-                return 200, {**job.final, "result": job.result}, {}
-            # The shard died between completion and the result fetch;
-            # resubmitting is the recovery (cheap when the fleet shares
-            # an artifact store), but that needs the event loop — tell
-            # the client to keep polling and rescue on the next pass.
-            return 202, job.final, {}
+            return 200, {**job.final, "result": job.result}, {}
         return 409, job.final, {}
 
     async def _refresh(self, job: FleetJob) -> "dict | None":
@@ -697,8 +698,12 @@ class FleetRouter:
         state = payload.get("state")
         if state in TERMINAL_STATES:
             await self._finalize(job, payload)
-            assert job.final is not None
-            return 200, job.final, {}
+            if job.terminal:
+                assert job.final is not None
+                return 200, job.final, {}
+            # Done, but the result went down with the shard: the job
+            # was resubmitted and is pending again.
+            return 200, job.placeholder_status(), {}
         return 200, {**payload, "job": job.ident}, {}
 
     # -- upstream transport ----------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import extract_report
 from repro.core import stats as stats_module
-from repro.core.scanline import PROFILE_PHASES, ScanlineEngine
+from repro.core.scanline import PROFILE_PHASES
 from repro.core.stats import PHASES, SCAN_PHASES, PhaseTimer
 from repro.core.stripengine import numpy_available
 from repro.tech import NMOS
@@ -41,25 +41,8 @@ def fake_clock(monkeypatch):
     return readings
 
 
-@pytest.fixture
-def flushed_runs(monkeypatch):
-    """Count deferred strip runs actually handed to the strip engine."""
-    flushes = [0]
-    flush = ScanlineEngine._flush_run
-
-    def counting(self) -> None:
-        if self._run_strips:
-            flushes[0] += 1
-        flush(self)
-
-    monkeypatch.setattr(ScanlineEngine, "_flush_run", counting)
-    return flushes
-
-
 @pytest.mark.parametrize("engine", ENGINES)
-def test_phases_tile_the_run_with_bounded_clock_reads(
-    engine, fake_clock, flushed_runs
-):
+def test_phases_tile_the_run_with_bounded_clock_reads(engine, fake_clock):
     layout = chip_suite(scale=0.05, names=("cherry",), seed=1)["cherry"]
     report = extract_report(layout, NMOS(), engine=engine)
     timer, stops = report.timer, report.stats.stops
@@ -68,7 +51,7 @@ def test_phases_tile_the_run_with_bounded_clock_reads(
     # Every clock read bills the phase that just ended: no gap, no
     # overlap between the first read and the last.
     assert sum(timer.seconds.values()) == fake_clock[-1] - fake_clock[0]
-    assert len(fake_clock) <= 5 * stops + 2 * flushed_runs[0] + _FIXED_READS
+    assert len(fake_clock) <= 5 * stops + _FIXED_READS
 
 
 def test_percentages_fold_host_phases_into_paper_phases():

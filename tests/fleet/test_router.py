@@ -6,6 +6,7 @@ import pytest
 
 from repro.cif import write as write_cif
 from repro.fleet import FleetRouter, RouterConfig
+from repro.fleet.router import UpstreamError
 from repro.service import (
     ExtractionService,
     ServiceClient,
@@ -232,6 +233,38 @@ def test_cached_hit_submission_finalizes_cleanly(fleet, fleet_client):
     assert fleet.router.table._inflight.get(record.key) is not record
     # And the client can fetch the result straight away.
     assert "wirelist" in fleet_client.result(receipt["job"])
+
+
+def test_done_job_whose_result_fetch_fails_is_rescued(
+    fleet, fleet_client, monkeypatch
+):
+    """A shard that dies between completing a job and the router's
+    eager result fetch must not leave a ``done`` job without its
+    result: the client would be told ``done`` and find no ``result``.
+    The router resubmits the job instead and the client gets the
+    wirelist, served from the shared store."""
+    upstream = FleetRouter._upstream
+    dropped: "list[str]" = []
+
+    async def first_result_fetch_fails(
+        self, shard, method, path, body=None, timeout=None
+    ):
+        if method == "GET" and path.endswith("/result") and not dropped:
+            dropped.append(path)
+            raise UpstreamError(shard, ConnectionResetError("shard died"))
+        return await upstream(self, shard, method, path, body, timeout)
+
+    monkeypatch.setattr(FleetRouter, "_upstream", first_result_fetch_fails)
+    receipt = fleet_client.submit(INVERTER, name="inv.cif")
+    if receipt["state"] != "done":
+        fleet_client.wait(receipt["job"], timeout=30.0)
+    result = fleet_client.result(receipt["job"])
+    assert dropped
+    assert "wirelist" in result
+    record = fleet.router.table.get(receipt["job"])
+    assert record is not None
+    assert record.terminal and record.result is not None
+    assert record.attempts == 2
 
 
 def test_shared_store_makes_results_visible_across_shards(
